@@ -8,8 +8,8 @@ Two implementations share one read API:
   rather than O(samples). For the discrete axes the paper plots
   (iteration counts, salt lengths, rank buckets) the two are exactly
   equal — same integer arithmetic, same float divisions — which is what
-  lets the streamed study report stay byte-identical to the
-  materialised one.
+  lets the study report folded record by record equal the one computed
+  from whole lists.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ list-at-once functions (:func:`domain_headline_stats`,
 accumulators (:class:`DomainHeadlineAccumulator`,
 :class:`ResolverHeadlineAccumulator`) that fold results as they arrive
 in O(1) memory. The list forms are thin wrappers over the accumulators,
-so the streamed and materialised paths literally share the arithmetic.
+so the list and streaming forms literally share the arithmetic.
 """
 
 from __future__ import annotations

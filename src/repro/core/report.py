@@ -2,13 +2,13 @@
 
 :class:`StudyAggregates` folds scan results, TLD results, and survey
 entries into bounded-memory accumulators as they arrive, and renders the
-paper's §5 structure from the aggregates alone — the streaming study
-pipeline feeds it one record at a time and never holds the result lists.
+paper's §5 structure from the aggregates alone — the study pipeline
+feeds it one record at a time and never holds the result lists.
+:func:`render_report` is the one renderer of every measurement command,
+single-process or merged from a worker fleet.
 
-:func:`render_study_report` keeps the original list-at-once signature as
-a thin wrapper that folds the lists through the *same* accumulators, so
-the streamed and materialised paths are byte-identical by construction
-(CI asserts it end-to-end, clean and under chaos faults).
+:func:`render_study_report` keeps the list-at-once signature as a thin
+wrapper that folds the lists through the *same* accumulators.
 """
 
 from __future__ import annotations
@@ -175,3 +175,15 @@ def render_study_report(
     for entry in survey_entries or ():
         aggregates.update_survey(entry)
     return aggregates.render(total_domains, title=title)
+
+
+def render_report(role, aggregates, total_domains):
+    """The report a measurement command prints for *role*: the study
+    document (``study``/``scan``; sections without records are omitted)
+    or the §5.2 resolver headline (``survey``)."""
+    if role != "survey":
+        return aggregates.render(total_domains)
+    lines = ["validating resolver survey (paper §5.2):"]
+    for label, paper, measured in aggregates.resolver_headline.headline().rows():
+        lines.append(f"  {label:40s} paper={paper:>6}  measured={measured}")
+    return "\n".join(lines)

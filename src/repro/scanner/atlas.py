@@ -14,18 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.resolver_compliance import classify_resolver
-from repro.scanner.resolver_scan import (
-    SurveyEntry,
-    probe_resolver,
-    probe_with_policy,
-)
+from repro.scanner.resolver_scan import probe_with_policy, survey_entry
 from repro.testbed.rfc9276_wild import PROBE_ZONE_ITERATIONS
 
 
 @dataclass
 class AtlasCampaign:
-    """Probes closed resolvers from inside their networks."""
+    """Probes closed resolvers from inside their networks.
+
+    :meth:`run` drives a whole deployment; :meth:`eligible` and
+    :meth:`visit` are its per-target steps, shared with the campaign
+    unit runner.
+    """
+
+    #: Note on entries whose probes stayed unanswered or unstable.
+    DEGRADED_NOTE = "degraded: Atlas probes unanswered or unstable"
 
     network: object
     probe_set: object
@@ -41,45 +44,46 @@ class AtlasCampaign:
     concurrency: int = 1
     entries: list = field(default_factory=list)
 
-    def run(self, deployed_resolvers):
+    def __post_init__(self):
         from repro.net.sim import CampaignExecutor
 
-        executor = CampaignExecutor(self.network.kernel, self.concurrency)
-        self.entries = []
+        self.executor = CampaignExecutor(self.network.kernel, self.concurrency)
+
+    def run(self, deployed_resolvers):
+        self.entries = [
+            self.visit(index, deployed)
+            for index, deployed in self.eligible(deployed_resolvers)
+        ]
+        self.executor.drain()
+        return self.entries
+
+    def eligible(self, deployed_resolvers):
+        """Yield ``(index, deployed)`` for the closed resolvers this
+        campaign probes: those with a probe vantage, in deployment order,
+        until the :attr:`max_probes` budget fills."""
         count = 0
         for index, deployed in enumerate(deployed_resolvers):
             if deployed.access != "closed":
                 continue
             if count >= self.max_probes:
-                break
+                return
             if not deployed.probe_source_ip:
                 continue
-            matrix, healthy = executor.submit(
-                lambda d=deployed, i=index: self._probe(d, i)
-            )
-            classification = classify_resolver(matrix, resolver=deployed.ip)
-            if self.retry_policy is not None and not healthy:
-                classification.notes.append(
-                    "degraded: Atlas probes unanswered or unstable"
-                )
-            self.entries.append(SurveyEntry(deployed, matrix, classification))
+            yield index, deployed
             count += 1
-        executor.drain()
-        return self.entries
 
-    def _probe(self, deployed, index):
-        """One closed resolver's probe session; returns (matrix, healthy)."""
-        if self.retry_policy is None:
-            matrix = probe_resolver(
-                self.network,
-                deployed.ip,
-                self.probe_set,
-                deployed.probe_source_ip,
-                unique=f"atlas{index}",
-                iterations=self.iterations,
-                keep_ede=False,  # Atlas does not expose EDE
-            )
-            return matrix, True
+    def visit(self, index, deployed):
+        """Probe one eligible closed resolver and return its entry. No
+        requeue: Atlas admits an unhealthy matrix at once, with the
+        degradation note."""
+        matrix, healthy = self.executor.submit(lambda: self.probe(deployed, index))
+        return survey_entry(
+            deployed, matrix, degraded_note=None if healthy else self.DEGRADED_NOTE
+        )
+
+    def probe(self, deployed, index):
+        """One closed resolver's probe session from its in-network
+        vantage; returns ``(matrix, healthy)``."""
         return probe_with_policy(
             self.network,
             deployed.ip,
@@ -88,7 +92,7 @@ class AtlasCampaign:
             f"atlas{index}",
             self.iterations,
             self.retry_policy,
-            keep_ede=False,
+            keep_ede=False,  # Atlas does not expose EDE
         )
 
     def classifications(self):

@@ -48,6 +48,14 @@ def _random_label(rng):
     return "zx" + "".join(rng.choice("abcdefghijklmnopqrstuvwxyz0123456789") for __ in range(12))
 
 
+#: Probe-label RNG seeds of the domain and TLD pipelines.
+DOMAIN_SEED = 1355
+TLD_SEED = 31
+
+#: Delegation count the Item 4/5 heuristics assume for every TLD.
+TLD_DELEGATIONS = 10_000
+
+
 def domain_rng(seed, domain):
     """The probe-label RNG for one domain, derived from (seed, domain).
 
@@ -111,7 +119,7 @@ def scan_domain(engine, domain, rng, delegation_count=0, open_zone=False):
     return result
 
 
-def nsec3_scan(engine, domains, seed=1355):
+def nsec3_scan(engine, domains, seed=DOMAIN_SEED):
     """Stage-2 scan over many domains; returns DomainScanResults.
 
     Probe labels come from :func:`domain_rng`, so any partition of
@@ -126,27 +134,20 @@ def nsec3_scan(engine, domains, seed=1355):
     return results
 
 
-def scan_tlds(engine, tld_specs, seed=31):
-    """The TLD variant of the pipeline (§5.1's 1,449-TLD analysis).
+def scan_tld(engine, spec, seed=TLD_SEED):
+    """Stage-2 scan of one :class:`~repro.testbed.population.TldSpec`
+    (its open-zone-data flag feeds the Item 1 heuristic)."""
+    return scan_domain(
+        engine,
+        spec.label,
+        domain_rng(seed, spec.label),
+        delegation_count=TLD_DELEGATIONS,
+        open_zone=spec.open_zone_data,
+    )
 
-    *tld_specs* may be labels or :class:`~repro.testbed.population.TldSpec`
-    objects; specs contribute delegation counts and open-zone-data flags to
-    the Item 4/5 and Item 1 heuristics.
-    """
-    results = []
-    for spec in tld_specs:
-        if isinstance(spec, str):
-            label, delegations, open_zone = spec, 10_000, False
-        else:
-            label, delegations, open_zone = spec.label, 10_000, spec.open_zone_data
-        results.append(
-            scan_domain(
-                engine,
-                label,
-                domain_rng(seed, label),
-                delegation_count=delegations,
-                open_zone=open_zone,
-            )
-        )
+
+def scan_tlds(engine, tld_specs, seed=TLD_SEED):
+    """The TLD variant of the pipeline (§5.1's 1,449-TLD analysis)."""
+    results = [scan_tld(engine, spec, seed) for spec in tld_specs]
     engine.drain()
     return results

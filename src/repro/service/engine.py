@@ -177,6 +177,18 @@ class ServiceEngine:
     def running(self):
         return self._thread is not None and self._thread.is_alive()
 
+    def hold(self):
+        """Park the worker once it reaches everything queued so far;
+        it resumes when the returned :class:`threading.Event` is set.
+
+        While parked, admitted queries stay in flight, so arrivals past
+        the gate's capacity are shed whatever the machine's speed — how
+        the soak makes its overload burst certain.
+        """
+        release = threading.Event()
+        self._queue.put(release)
+        return release
+
     # -- event-loop side -----------------------------------------------------
 
     def submit(self, backend_name, backend, wire, src_ip, reply, via_tcp=False):
@@ -233,6 +245,9 @@ class ServiceEngine:
             job = self._queue.get()
             if job is None:
                 break
+            if isinstance(job, threading.Event):
+                job.wait()
+                continue
             try:
                 self._serve(job)
             finally:

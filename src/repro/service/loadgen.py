@@ -203,8 +203,12 @@ class LoadGenerator:
 
     # -- execution -----------------------------------------------------------
 
-    async def run(self):
-        """Replay the schedule; returns the :class:`LoadReport`."""
+    async def run(self, on_offered=None):
+        """Replay the schedule; returns the :class:`LoadReport`.
+
+        *on_offered* is called once every query has been sent, before
+        the replies are awaited.
+        """
         loop = asyncio.get_running_loop()
         transport, protocol = await loop.create_datagram_endpoint(
             _ClientProtocol, remote_addr=(self.host, self.port)
@@ -232,6 +236,9 @@ class LoadGenerator:
                         self._one_query(protocol, classes[klass], qname)
                     )
                 )
+            if on_offered is not None:
+                await asyncio.sleep(0)  # each task sends before it awaits
+                on_offered()
             if tasks:
                 await asyncio.gather(*tasks)
         finally:

@@ -55,8 +55,8 @@ class SoakConfig:
     attack_qps: float = 250.0
     attack_ratio: float = 0.4
     #: The overload flood: this many queries offered essentially at once
-    #: (far past any worker's drain rate), forcing the admission gates
-    #: to shed deterministically on every machine speed.
+    #: while the engine worker is held, forcing the admission gates to
+    #: shed deterministically on every machine speed.
     burst_queries: int = 800
     burst_qps: float = 4_000.0
     engine_capacity: int = 48
@@ -186,7 +186,7 @@ class _SoakRun:
         benign = benign_pool(config.domains, config.tlds)
         try:
             await self._phase_benign(host, port, benign)
-            await self._phase_attack(host, port, benign)
+            await self._phase_attack(host, port, benign, engine)
             await self._phase_fuzz(host, port)
             await self._phase_churn(host, port)
             await self._phase_recovery(host, port, benign)
@@ -216,7 +216,7 @@ class _SoakRun:
         ).run()
         self.report.phases["benign"] = report
 
-    async def _phase_attack(self, host, port, benign):
+    async def _phase_attack(self, host, port, benign, engine):
         config = self.config
         self.report.shed_before_attack = self._shed_total()
         report = await LoadGenerator(
@@ -231,22 +231,28 @@ class _SoakRun:
         ).run()
         self.report.phases["attack"] = report
         # The overload flood: unpaced, cache-busting, half adversarial.
-        # Arrival outruns the single worker by construction, so the
-        # engine gate fills and sheds well-formed queries through the
-        # guard-counted REFUSED/serve-stale path.
-        burst = await LoadGenerator(
-            host,
-            port,
-            qps=config.burst_qps,
-            duration_s=config.burst_queries / config.burst_qps,
-            attack_ratio=0.5,
-            benign_names=benign,
-            unique_ratio=1.0,
-            # Kernel-level UDP drops are expected at this offered rate;
-            # don't let them stretch the phase to the full query timeout.
-            timeout_s=min(2.0, config.query_timeout_s),
-            seed=config.seed + 20,
-        ).run()
+        # The engine worker is held until the whole burst has been
+        # offered, so every admitted query stays in flight: the engine
+        # gate fills and sheds well-formed queries through the
+        # guard-counted REFUSED/serve-stale path on any machine speed.
+        release = engine.hold()
+        try:
+            burst = await LoadGenerator(
+                host,
+                port,
+                qps=config.burst_qps,
+                duration_s=config.burst_queries / config.burst_qps,
+                attack_ratio=0.5,
+                benign_names=benign,
+                unique_ratio=1.0,
+                # Kernel-level UDP drops are expected at this offered
+                # rate; don't let them stretch the phase to the full
+                # query timeout.
+                timeout_s=min(2.0, config.query_timeout_s),
+                seed=config.seed + 20,
+            ).run(on_offered=release.set)
+        finally:
+            release.set()
         self.report.shed_after_attack = self._shed_total()
         self.report.phases["burst"] = burst
 

@@ -1,10 +1,10 @@
 """Build the simulated world a service instance puts on real sockets.
 
 One construction path shared by ``repro serve``, the soak harness, and
-the service tests, mirroring the CLI's ``_build``: the scaled
-population internet (lazy zones, bounded memory), the RFC 9276 probe
-zones, the adversarial NSEC3/KeyTrap lab, and a guarded validating
-resolver in front of it all. Loadgen processes derive the same benign
+the service tests, like the CLI's :func:`repro.scanner.units.build_world`:
+the scaled population internet (lazy zones, bounded memory), the RFC
+9276 probe zones, the adversarial NSEC3/KeyTrap lab, and a guarded
+validating resolver in front of it all. Loadgen processes derive the same benign
 names from the same ``(domains, tlds)`` pair without ever seeing these
 objects — the scaling rule is the contract.
 """

@@ -238,6 +238,33 @@ class TestAdmissionControl:
             obs.disable()
             obs.reset()
 
+    def test_held_worker_sheds_exactly_past_capacity(self, world):
+        # A held worker keeps every admitted query in flight, so the gate
+        # sheds exactly the arrivals past its capacity whatever the
+        # machine speed; the release then answers the admitted ones.
+        engine = ServiceEngine(capacity=3).start()
+        replies = []
+        release = engine.hold()
+        try:
+            for index in range(5):
+                query = make_query(
+                    f"held{index}.{PROBE_VALID}", RdataType.A, msg_id=index
+                )
+                engine.submit(
+                    "resolver",
+                    world.resolver,
+                    query.to_wire(),
+                    "127.0.0.1",
+                    replies.append,
+                )
+            assert engine.gate.shed == 2
+            assert len(replies) == 2  # sheds are answered at once
+        finally:
+            release.set()
+        assert engine.drain(timeout=30.0)
+        assert len(replies) == 5
+        assert engine.stats.answered == 3
+
     def test_socket_gate_sheds_before_engine(self, world):
         async def scenario():
             service, port = await _start(
