@@ -12,13 +12,12 @@ from repro.analysis.cdf import Cdf, StreamingCdf
 from repro.analysis.sketch import QuantileSketch, SpaceSavingTopK, StreamStats
 from repro.analysis.tables import OperatorTableAccumulator, operator_table
 from repro.core.zone_compliance import Nsec3Observation, check_zone_compliance
+from repro.dns.message import make_query
+from repro.dns.types import RdataType
+from repro.net.faults import parse_fault_spec
 from repro.scanner.nsec3_scan import DomainScanResult
-from repro.scanner.supervisor import (
-    CampaignPlan,
-    UnitUniverse,
-    plan_units,
-    shard_units,
-)
+from repro.scanner.supervisor import CampaignPlan, UnitUniverse, deployment_counts
+from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     Population,
     generate_tlds,
@@ -328,6 +327,72 @@ class TestStreamingPopulation:
         assert population.spec_at(97) == walked
 
 
+class TestLazyTestbedMatchesEager:
+    """The lazily hosted testbed puts the eager build's bytes on the wire,
+    under network chaos and for SLD zones the bounded FIFO evicted and
+    rebuilt — the property every measured run relies on, since only the
+    lazy build runs campaigns."""
+
+    def _answers(self, lazy):
+        config = scaled_config(24, 6)
+        tld_specs = generate_tlds(config)
+        population = Population(config, tlds=tld_specs)
+        inet = build_internet(
+            population, tld_specs, seed=7, lazy_domains=lazy, lazy_zone_limit=4
+        )
+        inet.network.set_faults(parse_fault_spec("chaos", seed=7))
+        source = inet.allocator.next_v4()
+        answers = []
+        # Two passes with fresh probe names: the second pass misses the
+        # packed-answer cache, so each evicted zone is rebuilt to answer.
+        for rnd in range(2):
+            for spec in population:
+                server_ip = inet.operator_ips[spec.operator][0]
+                for qname, rdtype in (
+                    (spec.name, RdataType.DNSKEY),
+                    (f"probe{rnd}.{spec.name}", RdataType.A),
+                ):
+                    query = make_query(
+                        qname,
+                        rdtype,
+                        want_dnssec=True,
+                        recursion_desired=False,
+                        msg_id=len(answers) + 1,
+                    )
+                    answers.append(
+                        inet.network.send(source, server_ip, query.to_wire())
+                    )
+        return answers, inet
+
+    def test_wire_identical_across_eviction_and_rebuild_under_chaos(self):
+        eager, eager_inet = self._answers(lazy=False)
+        lazy, lazy_inet = self._answers(lazy=True)
+        assert sum(answer is not None for answer in eager) > len(eager) // 2
+        assert lazy == eager
+        assert lazy_inet.network.kernel.now == eager_inet.network.kernel.now
+        host = lazy_inet.lazy_host
+        assert host.evictions > 0
+        assert host.builds > len(lazy_inet.domain_specs)
+
+
+def _reference_units(plan):
+    """The campaign's unit list built the slow way — the whole population
+    iterated, then every TLD, then every resolver index — as the oracle
+    for the index-addressed :class:`UnitUniverse`."""
+    config = scaled_config(plan.domains, plan.tlds)
+    tld_specs = generate_tlds(config)
+    domain_specs = list(iter_population(config, tlds=tld_specs))
+    units = []
+    if plan.role in ("study", "scan"):
+        units += [("d", spec.name) for spec in domain_specs]
+    if plan.role == "study":
+        units += [("t", spec.label) for spec in tld_specs]
+    if plan.role in ("study", "survey"):
+        resolvers = sum(deployment_counts(plan.resolvers).values())
+        units += [("r", str(index)) for index in range(resolvers)]
+    return units, domain_specs, tld_specs
+
+
 class TestUnitUniverse:
     def _plan(self, role="study"):
         return CampaignPlan(
@@ -343,7 +408,7 @@ class TestUnitUniverse:
     @pytest.mark.parametrize("role", ["study", "scan", "survey"])
     def test_matches_materialised_plan(self, role):
         plan = self._plan(role)
-        units, domain_specs, tld_specs = plan_units(plan)
+        units, domain_specs, tld_specs = _reference_units(plan)
         universe = UnitUniverse(plan)
         assert len(universe) == len(units)
         assert list(universe) == units
@@ -354,11 +419,12 @@ class TestUnitUniverse:
 
     def test_shard_streams_match_shard_units(self):
         plan = self._plan()
-        units, __, __ = plan_units(plan)
+        units, __, __ = _reference_units(plan)
         universe = UnitUniverse(plan)
         for workers in (2, 3, 4):
             for shard in range(workers):
-                expected = shard_units(units, shard, workers)
+                # Round-robin deal over the reference list.
+                expected = units[shard::workers]
                 assert list(universe.iter_shard(shard, workers)) == expected
                 assert universe.shard_size(shard, workers) == len(expected)
 
